@@ -52,18 +52,21 @@ def build_datasets(args):
     return objects, feature_sets
 
 
-def run_cold(processor, workload, algorithm: str) -> float:
+def run_cold(processor, workload, algorithm: str, stats=None) -> float:
     """Timed serial pass with every cache dropped before each query.
 
     The ``clear_buffers`` calls happen off the clock — only query
-    execution is timed, exactly as in ``bench_executor.py``.
+    execution is timed, exactly as in ``bench_executor.py``.  Each
+    query's ``QueryStats`` is appended to ``stats`` when given.
     """
     total = 0.0
     for query in workload:
         processor.clear_buffers()
         t0 = time.perf_counter()
-        processor.query(query, algorithm=algorithm)
+        result = processor.query(query, algorithm=algorithm)
         total += time.perf_counter() - t0
+        if stats is not None:
+            stats.append(result.stats)
     return total
 
 
@@ -104,7 +107,10 @@ def bench(args) -> dict:
     baseline = QueryProcessor.build(objects, feature_sets, index="srt")
     results = []
     for algorithm in args.algorithms:
-        base_cold = run_cold(baseline, workload, algorithm)
+        base_stats = []
+        base_cold = run_cold(baseline, workload, algorithm, base_stats)
+        formed = sum(s.combinations_formed for s in base_stats)
+        released = sum(s.combinations for s in base_stats)
         base_warm = run_warm(baseline, workload, algorithm)
         rows = []
         for shards in args.shards:
@@ -141,6 +147,14 @@ def bench(args) -> dict:
                 "queries": len(workload),
                 "baseline_cold_s": round(base_cold, 4),
                 "baseline_warm_s": round(base_warm, 4),
+                # Algorithm 4's candidate tuples per released combination
+                # on the unsharded cold pass: a count, not a time, so it
+                # is the same on every machine (0 for STDS).
+                "baseline_combinations_formed": formed,
+                "baseline_combinations_released": released,
+                "baseline_formed_per_released": round(
+                    formed / released if released else 0.0, 2
+                ),
                 "shards": rows,
                 "speedup_cold_s4": by_count.get(4, {}).get(
                     "speedup_cold", 0.0
@@ -301,7 +315,8 @@ def main(argv=None) -> int:
         print(
             f"  {row['algorithm']:>4}: {row['queries']} queries  "
             f"baseline cold {row['baseline_cold_s']:.2f}s / "
-            f"warm {row['baseline_warm_s']:.2f}s"
+            f"warm {row['baseline_warm_s']:.2f}s  "
+            f"formed/released {row['baseline_formed_per_released']:.2f}"
         )
         for shard_row in row["shards"]:
             print(

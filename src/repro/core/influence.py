@@ -143,6 +143,7 @@ def stps_influence(
             best[oid] = (0.0, x, y)
 
     stats.combinations = iterator.combinations_released
+    stats.combinations_formed = iterator.combinations_formed
     stats.features_pulled = iterator.features_pulled
     stats.objects_scored = len(best)
     stats.phase_times = rec.totals()

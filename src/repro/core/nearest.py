@@ -145,6 +145,7 @@ def stps_nearest(
             collected.append((combo.score, e.oid, e.x, e.y))
 
     stats.combinations = iterator.combinations_released
+    stats.combinations_formed = iterator.combinations_formed
     stats.features_pulled = iterator.features_pulled
     stats.objects_scored = len(collected)
     stats.phase_times = rec.totals()

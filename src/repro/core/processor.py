@@ -64,6 +64,11 @@ COMBINATIONS_TOTAL = _metrics.registry().counter(
     "Valid combinations released (Algorithm 4).",
     _QUERY_LABELS,
 )
+COMBINATIONS_FORMED_TOTAL = _metrics.registry().counter(
+    "repro_combinations_formed_total",
+    "Candidate combinations formed by Algorithm 4, valid or not.",
+    _QUERY_LABELS,
+)
 OBJECTS_SCORED_TOTAL = _metrics.registry().counter(
     "repro_objects_scored_total",
     "Data objects scored or retrieved.",
@@ -217,6 +222,10 @@ class QueryProcessor:
         QUERIES_TOTAL.labels(**labels).inc()
         if result.stats.combinations:
             COMBINATIONS_TOTAL.labels(**labels).inc(result.stats.combinations)
+        if result.stats.combinations_formed:
+            COMBINATIONS_FORMED_TOTAL.labels(**labels).inc(
+                result.stats.combinations_formed
+            )
         if result.stats.objects_scored:
             OBJECTS_SCORED_TOTAL.labels(**labels).inc(
                 result.stats.objects_scored

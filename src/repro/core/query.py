@@ -42,7 +42,7 @@ class PreferenceQuery:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise QueryError(f"k must be >= 0, got {self.k}")
-        if self.radius <= 0.0:
+        if not self.radius > 0.0:  # NaN fails this too
             raise QueryError(f"radius must be positive, got {self.radius}")
         if not 0.0 <= self.lam <= 1.0:
             raise QueryError(f"lambda must be in [0, 1], got {self.lam}")

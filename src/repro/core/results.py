@@ -36,6 +36,10 @@ class QueryStats:
     node_cache_misses: int = 0
     io_time_s: float = 0.0
     combinations: int = 0
+    #: Candidate combinations formed by Algorithm 4 (pushed onto its
+    #: heap, valid or not); ``combinations_formed / combinations`` is
+    #: the enumeration's work per released combination.
+    combinations_formed: int = 0
     features_pulled: int = 0
     objects_scored: int = 0
     heap_pops: int = 0

@@ -152,7 +152,8 @@ class CombinationDiag:
     #: Combinations released to the caller (valid under Lemma 1).
     #: Reconciles with ``repro_combinations_total``.
     released: int = 0
-    #: Combinations assembled but rejected by the ``2r`` rule (Lemma 1).
+    #: Candidate tuples the rank join's pairwise ``2r`` check discarded
+    #: (Lemma 1): ``released + rejected_2r`` is the tuples examined.
     rejected_2r: int = 0
     #: Released combinations whose retrieval was skipped by the
     #: distance-aware influence bound (Algorithm 5 extension).
@@ -618,7 +619,7 @@ class DiagnosticsCollector:
                 )
 
     def combination(self, score: float, accepted: bool) -> None:
-        """A combination was assembled; ``accepted`` per Lemma 1."""
+        """A candidate tuple was examined; ``accepted`` per Lemma 1."""
         with self._lock:
             diag = self._combinations()
             if accepted:

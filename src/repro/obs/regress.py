@@ -18,8 +18,14 @@ Two comparison modes, chosen automatically per pair:
 * **floor** — workload shapes differ (e.g. a CI smoke run vs. the
   committed full-size baseline).  Absolute floors apply instead: the
   hot path must still show a real speedup
-  (:data:`EXECUTOR_SPEEDUP_FLOOR`) and shard scaling must still scale
-  (:data:`SHARD_SPEEDUP_FLOOR` on the headline algorithm at 4 shards).
+  (:data:`EXECUTOR_SPEEDUP_FLOOR`).
+
+In both modes the shard bench's headline algorithm must keep Algorithm
+4 output-sensitive: candidate combinations formed per released one on
+the unsharded cold pass stay at or under
+:data:`FORMED_PER_RELEASED_CEILING`.  The ratio is a count, the same on
+every machine, so a silent fallback to the full product lattice fails
+it deterministically.
 
 Noise tolerance is deliberately generous (a 45% speedup drop passes a
 ratio check) — the sentinel exists to catch structural regressions
@@ -53,8 +59,13 @@ SENTINEL_SCHEMA_VERSION = 1
 RATIO_TOLERANCE = 0.55
 #: Floor mode: minimum per-algorithm hot-path speedup (executor bench).
 EXECUTOR_SPEEDUP_FLOOR = 1.2
-#: Floor mode: minimum headline-algorithm speedup_cold at 4 shards.
-SHARD_SPEEDUP_FLOOR = 1.3
+#: Both modes: maximum Algorithm 4 candidates formed per released
+#: combination, headline algorithm of the shard bench, unsharded cold
+#: pass.  The 2r rank join forms 21.9 per release on the smoke shape and
+#: 110 on the full one (a seed per pulled feature, few releases); the
+#: product lattice it replaced formed 1782 per release on the smoke
+#: shape and 47,800 on the full one.
+FORMED_PER_RELEASED_CEILING = 500.0
 #: Floor mode: minimum process-fanout cold speedup over thread fan-out
 #: at 4 shards.  Only meaningful with real cores to spread across, so
 #: it gates only when the run's machine had >= PROCESS_FANOUT_MIN_CPUS.
@@ -157,6 +168,8 @@ def _is_process_unit(unit: str) -> bool:
 
 
 def _check(unit, metric, rule, threshold, baseline, current) -> dict:
+    """``rule`` "ceiling" passes at or under ``threshold``; the others
+    at or over it."""
     return {
         "unit": unit,
         "metric": metric,
@@ -164,8 +177,31 @@ def _check(unit, metric, rule, threshold, baseline, current) -> dict:
         "threshold": round(threshold, 4),
         "baseline": baseline,
         "current": current,
-        "ok": current >= threshold,
+        "ok": (
+            current <= threshold if rule == "ceiling"
+            else current >= threshold
+        ),
     }
+
+
+def formed_per_released_check(baseline: dict, current: dict) -> dict | None:
+    """The shard bench's :data:`FORMED_PER_RELEASED_CEILING` check, or
+    None when the current document does not record the ratio."""
+    headline = current.get("headline_algorithm", "stps")
+
+    def ratio(doc: dict) -> float | None:
+        for row in doc.get("results", []):
+            if row.get("algorithm") == headline:
+                return row.get("baseline_formed_per_released")
+        return None
+
+    value = ratio(current)
+    if value is None:
+        return None
+    return _check(
+        f"shards/{headline}", "baseline_formed_per_released", "ceiling",
+        FORMED_PER_RELEASED_CEILING, ratio(baseline), float(value),
+    )
 
 
 def compare_docs(baseline: dict, current: dict) -> dict:
@@ -239,15 +275,6 @@ def compare_docs(baseline: dict, current: dict) -> dict:
                     ))
         elif bench == "shard-scaling":
             headline = current.get("headline_algorithm", "stps")
-            unit = f"shards/{headline}"
-            value = cur_metrics.get(unit, {}).get("speedup_cold_s4")
-            if value is not None:
-                checks.append(_check(
-                    unit, "speedup_cold_s4", "floor",
-                    SHARD_SPEEDUP_FLOOR,
-                    base_metrics.get(unit, {}).get("speedup_cold_s4"),
-                    value,
-                ))
             process_unit = f"shards/process/{headline}"
             process_value = cur_metrics.get(process_unit, {}).get(
                 "cold_speedup_vs_threads_s4"
@@ -287,6 +314,10 @@ def compare_docs(baseline: dict, current: dict) -> dict:
                         unit, metric, "floor", floor,
                         base_metrics.get(unit, {}).get(metric), value,
                     ))
+    if bench == "shard-scaling":
+        check = formed_per_released_check(baseline, current)
+        if check is not None:
+            checks.append(check)
     if not checks:
         return {
             "benchmark": bench,
@@ -465,8 +496,9 @@ def main(argv: list[str] | None = None) -> int:
             cur = check.get("current")
             cur_s = f"{cur:.2f}" if isinstance(cur, (int, float)) else "-"
             threshold = check.get("threshold")
+            op = "<=" if check["rule"] == "ceiling" else ">="
             thr_s = (
-                f" (>= {threshold:.2f})" if threshold is not None else ""
+                f" ({op} {threshold:.2f})" if threshold is not None else ""
             )
             print(
                 f"    {mark:>10}  {check['unit']}:{check['metric']}  "

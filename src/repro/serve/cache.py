@@ -10,7 +10,8 @@ enforced *before* the cache so a hot key never launders an exhausted
 tenant's traffic past its bucket).
 
 Coherence under live mutation is epoch-based: every entry is stamped
-with the cache epoch current at fill time, and :meth:`ResultCache.get`
+with the cache epoch read before its answer was computed (a fill whose
+epoch has moved on since is dropped), and :meth:`ResultCache.get`
 rejects entries from an older epoch (lazy eviction — no scan).  The
 epoch advances via :meth:`ResultCache.bump` — wired to
 :meth:`repro.live.LiveBase.add_mutation_listener` by
@@ -36,7 +37,8 @@ CACHE_METRIC_FAMILIES = ("repro_serve_cache_total",)
 
 
 def cache_outcomes_metric() -> "_metrics.MetricFamily":
-    """Cache lookups by outcome: hit / miss / stale; fills and evictions.
+    """Cache lookups by outcome: hit / miss / stale; fills, fills dropped
+    as stale (``stale_fill``) and evictions.
 
     Lazily resolved against the current default registry (the pattern
     established by :func:`repro.live.dataset.live_mutations_metric`) so
@@ -150,9 +152,18 @@ class ResultCache:
             cache_outcomes_metric().labels(event="hit").inc()
             return result
 
-    def put(self, key: tuple, result: QueryResult) -> None:
-        """Fill ``key`` at the current epoch, evicting LRU past the cap."""
+    def put(self, key: tuple, result: QueryResult, epoch: int) -> None:
+        """Fill ``key`` at ``epoch``, evicting LRU past the cap.
+
+        ``epoch`` is the :attr:`epoch` read before ``result`` was
+        computed.  If a mutation bumped it since, ``result`` may predate
+        that write, so the fill is dropped (event ``stale_fill``) rather
+        than stamped current.
+        """
         with self._lock:
+            if epoch != self._epoch:
+                cache_outcomes_metric().labels(event="stale_fill").inc()
+                return
             self._entries[key] = (self._epoch, result)
             self._entries.move_to_end(key)
             cache_outcomes_metric().labels(event="fill").inc()

@@ -440,6 +440,9 @@ class QueryService:
             with _tracing.span("serve.cache", cat="serve"):
                 key = query_signature(query, algorithm, pulling)
                 hit = self.cache.get(key)
+                # Read before executing: a write that lands while the
+                # miss runs bumps the epoch, and the fill is dropped.
+                epoch = self.cache.epoch
             if hit is not None:
                 self.served += 1
                 return ServeDecision(
@@ -480,7 +483,7 @@ class QueryService:
         with self._lock:
             self._queue_waits.append((time.monotonic(), queue_wait_s))
         if key is not None:
-            self.cache.put(key, result)
+            self.cache.put(key, result, epoch)
         self.served += 1
         return ServeDecision(
             status=200, outcome="ok", result=result,

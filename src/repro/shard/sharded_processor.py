@@ -877,6 +877,7 @@ def _merge_stats(results: Sequence[QueryResult]) -> QueryStats:
         stats.node_cache_misses += s.node_cache_misses
         stats.io_time_s += s.io_time_s
         stats.combinations += s.combinations
+        stats.combinations_formed += s.combinations_formed
         stats.features_pulled += s.features_pulled
         stats.objects_scored += s.objects_scored
         stats.heap_pops += s.heap_pops

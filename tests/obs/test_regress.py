@@ -48,6 +48,7 @@ SHARDS_DOC = {
                 {"shards": 4, "speedup_cold": 4.2},
             ],
             "speedup_cold_s4": 4.2,
+            "baseline_formed_per_released": 12.0,
         },
     ],
 }
@@ -106,15 +107,30 @@ class TestCompareDocs:
         assert verdict["ok"] is False
 
     def test_shard_floor_mode_uses_headline(self):
+        """Floor mode gates the headline's formed-per-released ceiling,
+        not its (single-core, algorithmic) shard speedup."""
         smoke = copy.deepcopy(SHARDS_DOC)
         smoke["config"]["objects"] = 500
+        smoke["results"][0]["speedup_cold_s4"] = 1.0
         verdict = regress.compare_docs(SHARDS_DOC, smoke)
         assert verdict["mode"] == "floor"
         assert verdict["ok"] is True
         (check,) = verdict["checks"]
         assert check["unit"] == "shards/stps"
-        smoke["results"][0]["speedup_cold_s4"] = 1.0
+        assert check["metric"] == "baseline_formed_per_released"
+        assert check["rule"] == "ceiling"
+        # A fallback to the full product lattice: ~1800 per release.
+        smoke["results"][0]["baseline_formed_per_released"] = 1782.0
         assert regress.compare_docs(SHARDS_DOC, smoke)["ok"] is False
+
+    def test_formed_per_released_ceiling_gates_matched_mode_too(self):
+        lattice = copy.deepcopy(SHARDS_DOC)
+        lattice["results"][0]["baseline_formed_per_released"] = 1782.0
+        verdict = regress.compare_docs(lattice, lattice)
+        assert verdict["mode"] == "matched"
+        assert verdict["ok"] is False
+        (failing,) = [c for c in verdict["checks"] if not c["ok"]]
+        assert failing["metric"] == "baseline_formed_per_released"
 
     def test_speedup_cold_s4_fallback_from_rows(self):
         doc = copy.deepcopy(SHARDS_DOC)

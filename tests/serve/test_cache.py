@@ -58,23 +58,23 @@ class TestLRU:
         cache = ResultCache()
         key = query_signature(QUERY, "stps", "prioritized")
         assert cache.get(key) is None
-        cache.put(key, _result(1.0))
+        cache.put(key, _result(1.0), cache.epoch)
         assert cache.get(key).stats.wall_s == 1.0
         assert cache.hits == 1 and cache.misses == 1
 
     def test_lru_eviction_order(self):
         cache = ResultCache(max_entries=2)
-        cache.put(("a",), _result(1))
-        cache.put(("b",), _result(2))
+        cache.put(("a",), _result(1), cache.epoch)
+        cache.put(("b",), _result(2), cache.epoch)
         cache.get(("a",))  # refresh a
-        cache.put(("c",), _result(3))  # evicts b
+        cache.put(("c",), _result(3), cache.epoch)  # evicts b
         assert cache.get(("b",)) is None
         assert cache.get(("a",)) is not None
         assert cache.evictions == 1
 
     def test_hit_rate(self):
         cache = ResultCache()
-        cache.put(("k",), _result(1))
+        cache.put(("k",), _result(1), cache.epoch)
         cache.get(("k",))
         cache.get(("k",))
         cache.get(("other",))
@@ -86,7 +86,7 @@ class TestLRU:
 
     def test_clear(self):
         cache = ResultCache()
-        cache.put(("k",), _result(1))
+        cache.put(("k",), _result(1), cache.epoch)
         assert cache.clear() == 1
         assert len(cache) == 0
 
@@ -94,8 +94,8 @@ class TestLRU:
 class TestEpochs:
     def test_bump_invalidates_everything_lazily(self):
         cache = ResultCache()
-        cache.put(("a",), _result(1))
-        cache.put(("b",), _result(2))
+        cache.put(("a",), _result(1), cache.epoch)
+        cache.put(("b",), _result(2), cache.epoch)
         cache.bump()
         assert cache.get(("a",)) is None
         assert cache.get(("b",)) is None
@@ -104,15 +104,24 @@ class TestEpochs:
 
     def test_refill_after_bump_serves_again(self):
         cache = ResultCache()
-        cache.put(("a",), _result(1))
+        cache.put(("a",), _result(1), cache.epoch)
         cache.bump()
-        cache.put(("a",), _result(2))
+        cache.put(("a",), _result(2), cache.epoch)
+        assert cache.get(("a",)).stats.wall_s == 2
+
+    def test_fill_from_an_older_epoch_is_dropped(self):
+        cache = ResultCache()
+        epoch = cache.epoch
+        cache.bump()  # a write lands while the miss executes
+        cache.put(("a",), _result(1), epoch)
+        assert cache.get(("a",)) is None
+        cache.put(("a",), _result(2), cache.epoch)
         assert cache.get(("a",)).stats.wall_s == 2
 
     def test_metrics_count_events(self):
         with _metrics.scoped_registry() as reg:
             cache = ResultCache()
-            cache.put(("a",), _result(1))
+            cache.put(("a",), _result(1), cache.epoch)
             cache.get(("a",))
             cache.bump()
             cache.get(("a",))
@@ -134,7 +143,7 @@ class TestLiveCoherence:
     def test_mutation_bumps_attached_cache(self, live):
         cache = ResultCache()
         cache.attach_live(live)
-        cache.put(("k",), _result(1))
+        cache.put(("k",), _result(1), cache.epoch)
         live.insert_feature(
             0, FeatureObject(999_001, 0.5, 0.5, 0.9, frozenset({1}))
         )
@@ -143,8 +152,54 @@ class TestLiveCoherence:
         live.insert_feature(
             0, FeatureObject(999_002, 0.6, 0.6, 0.9, frozenset({2}))
         )
-        cache.put(("k2",), _result(2))
+        cache.put(("k2",), _result(2), cache.epoch)
         assert cache.get(("k2",)) is not None  # detached: no more bumps
+
+    def test_write_during_a_miss_is_not_cached(self, live):
+        """A rescore that lands between ``execute_one`` and the fill
+        leaves the pre-write answer uncached: the next request misses
+        and returns the fresh scores."""
+        query = PreferenceQuery(5, 0.3, 0.5, (0xFFFF, 0xFFFF))
+
+        def expected_scores() -> list[float]:
+            return brute_force(
+                live.objects_snapshot(), live.feature_snapshots(), query
+            ).scores
+
+        before = expected_scores()
+        best = max(live.feature_snapshots()[0], key=lambda f: f.score)
+
+        class WriteAfterExecute:
+            """Delegates to the real executor; the first execution is
+            followed by a rescore before the service fills the cache."""
+
+            def __init__(self, inner) -> None:
+                self._inner = inner
+                self.writes = 0
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def execute_one(self, *args, **kwargs):
+                out = self._inner.execute_one(*args, **kwargs)
+                if not self.writes:
+                    self.writes += 1
+                    live.rescore_feature(0, best.fid, 0.0)
+                return out
+
+        with QueryExecutor(live.processor, max_workers=1) as executor:
+            service = QueryService(
+                WriteAfterExecute(executor), ServeConfig(), live=live
+            )
+            first = service.handle("t", query)
+            after = expected_scores()
+            assert after != pytest.approx(before, abs=1e-9)
+            assert first.result.scores == pytest.approx(before, abs=1e-9)
+            again = service.handle("t", query)
+            assert again.status == 200
+            assert not again.cached
+            assert again.result.scores == pytest.approx(after, abs=1e-9)
+            service.close()
 
     def test_served_answers_track_mutations_vs_brute_force(self, live):
         """The coherence differential the satellite demands.

@@ -75,6 +75,7 @@ class TestParseRequest:
         {"k": 5, "radius": 0.25, "lam": 0.5, "masks": []},
         {"k": 5, "radius": 0.25, "lam": 0.5, "masks": ["x"]},
         {"k": "??", "radius": 0.25, "lam": 0.5, "masks": [1]},
+        {"k": 5, "radius": "nan", "lam": 0.5, "masks": [1]},
         {"k": 5, "radius": 0.25, "lam": 0.5, "masks": [1],
          "variant": "bogus"},
     ])
